@@ -13,6 +13,24 @@ use rdb_query::prelude::*;
 /// A pinned FAMILIES table (LCG-generated, fixed seed) with indexes on AGE
 /// and SIZE — enough structure for a real index competition.
 fn pinned_db() -> Db {
+    let mut db = pinned_families();
+    db.create_index("IDX_AGE", "FAMILIES", &["AGE"]).unwrap();
+    db.create_index("IDX_SIZE", "FAMILIES", &["SIZE"]).unwrap();
+    db
+}
+
+/// The same pinned FAMILIES rows with a composite (AGE, SIZE) index that
+/// covers an AGE/SIZE projection (self-sufficient) next to a fetch-needed
+/// SIZE index — the index-only tactic's situation.
+fn pinned_covered_db() -> Db {
+    let mut db = pinned_families();
+    db.create_index("IDX_AGE_SIZE", "FAMILIES", &["AGE", "SIZE"])
+        .unwrap();
+    db.create_index("IDX_SIZE", "FAMILIES", &["SIZE"]).unwrap();
+    db
+}
+
+fn pinned_families() -> Db {
     let mut db = Db::builder().page_bytes(1024).open().unwrap();
     db.create_table(
         "FAMILIES",
@@ -35,8 +53,6 @@ fn pinned_db() -> Db {
         )
         .unwrap();
     }
-    db.create_index("IDX_AGE", "FAMILIES", &["AGE"]).unwrap();
-    db.create_index("IDX_SIZE", "FAMILIES", &["SIZE"]).unwrap();
     db
 }
 
@@ -85,29 +101,11 @@ fn pinned_join_db() -> Db {
 
 #[test]
 fn explain_analyze_timeline_matches_golden() {
-    let db = pinned_db();
-    db.clear_cache();
-    let sql = "select ID from FAMILIES where AGE >= 97 and SIZE = 3";
-    let ea = db.explain_analyze(sql, &QueryOptions::new()).unwrap();
-    let rendered = ea.render();
-
-    let golden_path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explain_analyze.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, &rendered).unwrap();
-    }
-    let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {}: {e}\nbless it with: UPDATE_GOLDEN=1 cargo test -p rdb-simtest",
-            golden_path.display()
-        )
-    });
-    assert_eq!(
-        rendered, golden,
-        "EXPLAIN ANALYZE timeline drifted from the golden file; if the change \
-         is intended, re-bless with UPDATE_GOLDEN=1"
+    let ea = assert_timeline_golden(
+        &pinned_db(),
+        "select ID from FAMILIES where AGE >= 97 and SIZE = 3",
+        "explain_analyze.txt",
     );
-
     // The machine-readable form carries the same run: winner, phase costs,
     // and per-event records.
     let json = ea.to_json();
@@ -119,15 +117,29 @@ fn explain_analyze_timeline_matches_golden() {
 
 #[test]
 fn explain_analyze_join_timeline_matches_golden() {
-    let db = pinned_join_db();
+    let ea = assert_timeline_golden(
+        &pinned_join_db(),
+        "select PARENT.ID, CHILD.X from PARENT, CHILD \
+         where PARENT.ID = CHILD.FK and CHILD.X < 3 and PARENT.KIND = 2",
+        "explain_analyze_join.txt",
+    );
+    // The join competition's trace must be present end to end: candidate
+    // estimates, the raced methods, and a join winner tiling the cost.
+    let json = ea.to_json();
+    assert!(json.contains("\"event\":\"winner\""), "{json}");
+    assert!(json.contains("join"), "{json}");
+}
+
+/// Renders `EXPLAIN ANALYZE sql` on `db` and compares it with
+/// `tests/golden/<file>` (written instead under `UPDATE_GOLDEN`). Returns
+/// the run so callers can check which tactic it exercised.
+fn assert_timeline_golden(db: &Db, sql: &str, file: &str) -> ExplainAnalyze {
     db.clear_cache();
-    let sql = "select PARENT.ID, CHILD.X from PARENT, CHILD \
-               where PARENT.ID = CHILD.FK and CHILD.X < 3 and PARENT.KIND = 2";
     let ea = db.explain_analyze(sql, &QueryOptions::new()).unwrap();
     let rendered = ea.render();
-
-    let golden_path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/explain_analyze_join.txt");
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(&golden_path, &rendered).unwrap();
     }
@@ -139,13 +151,41 @@ fn explain_analyze_join_timeline_matches_golden() {
     });
     assert_eq!(
         rendered, golden,
-        "join EXPLAIN ANALYZE timeline drifted from the golden file; if the \
+        "{file}: EXPLAIN ANALYZE timeline drifted from the golden file; if the \
          change is intended, re-bless with UPDATE_GOLDEN=1"
     );
+    ea
+}
 
-    // The join competition's trace must be present end to end: candidate
-    // estimates, the raced methods, and a join winner tiling the cost.
-    let json = ea.to_json();
-    assert!(json.contains("\"event\":\"winner\""), "{json}");
-    assert!(json.contains("join"), "{json}");
+#[test]
+fn explain_analyze_fast_first_timeline_matches_golden() {
+    let ea = assert_timeline_golden(
+        &pinned_db(),
+        "select ID from FAMILIES where AGE >= 90 and SIZE = 3 limit to 5 rows",
+        "explain_analyze_fast_first.txt",
+    );
+    let rendered = ea.render();
+    assert!(rendered.contains("tactic FastFirst chosen"), "{rendered}");
+}
+
+#[test]
+fn explain_analyze_sorted_timeline_matches_golden() {
+    let ea = assert_timeline_golden(
+        &pinned_db(),
+        "select ID from FAMILIES where AGE >= 97 and SIZE = 3 order by SIZE limit to 5 rows",
+        "explain_analyze_sorted.txt",
+    );
+    let rendered = ea.render();
+    assert!(rendered.contains("tactic Sorted chosen"), "{rendered}");
+}
+
+#[test]
+fn explain_analyze_index_only_timeline_matches_golden() {
+    let ea = assert_timeline_golden(
+        &pinned_covered_db(),
+        "select AGE, SIZE from FAMILIES where AGE >= 90 and SIZE = 3",
+        "explain_analyze_index_only.txt",
+    );
+    let rendered = ea.render();
+    assert!(rendered.contains("tactic IndexOnly chosen"), "{rendered}");
 }
