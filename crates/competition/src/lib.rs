@@ -23,14 +23,15 @@
 //!   moment it no longer does.
 //!
 //! [`CostDist`] supplies the cost-distribution families (including the
-//! truncated hyperbola the paper fits everywhere), and [`sched`]/[`race`]
-//! provide the runtime machinery — a deterministic proportional-speed
-//! quantum scheduler and a generic race controller — that `rdb-core`'s
-//! scan strategies plug into.
+//! truncated hyperbola the paper fits everywhere). Two pieces are runtime
+//! machinery shared by every race in `rdb-core`: [`KillRules`] ([`kill`]),
+//! the one definition of the projection and spend criteria, and
+//! [`ProportionalScheduler`] ([`sched`]), the deterministic
+//! proportional-speed quantum scheduler of the cooperative races.
 
 pub mod direct;
 pub mod dist;
-pub mod race;
+pub mod kill;
 pub mod sched;
 pub mod two_stage;
 
@@ -39,6 +40,6 @@ pub use direct::{
     DirectOutcome,
 };
 pub use dist::CostDist;
-pub use race::{Competitor, Race, RaceConfig, RaceOutcome, StepOutcome};
+pub use kill::{Kill, KillRules};
 pub use sched::ProportionalScheduler;
 pub use two_stage::{two_stage_cost, TwoStageConfig, TwoStageOutcome};

@@ -1,11 +1,11 @@
 //! Deterministic proportional-speed quantum scheduling.
 //!
 //! The paper runs competing strategies "simultaneously with the
-//! proportional speed". In the engine's cooperative mode (the default —
-//! the opt-in OS-thread background stage lives in `rdb_core::parallel`
-//! and needs no scheduler) that means interleaving their `step()` calls
-//! so that over any window the number of
-//! quanta granted to each competitor tracks its speed weight. The
+//! proportional speed". In the engine's cooperative races (the default;
+//! the opt-in OS-thread background stage of `rdb_core::background` needs
+//! no scheduler) that means interleaving their `step()` calls so that
+//! over any window the number of quanta granted to each competitor
+//! tracks its speed weight. The
 //! [`ProportionalScheduler`] implements this with deficit counters — the
 //! classic weighted-round-robin construction — so the interleaving is
 //! deterministic and exactly proportional in the long run.

@@ -16,6 +16,7 @@
 use rand::Rng;
 
 use crate::dist::CostDist;
+use crate::kill::KillRules;
 
 /// Parameters of a two-stage competition run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,7 +39,7 @@ impl Default for TwoStageConfig {
     fn default() -> Self {
         TwoStageConfig {
             stage1_cost: 1.0,
-            switch_threshold: 0.95,
+            switch_threshold: KillRules::PAPER.switch_threshold,
             checkpoints: 20,
             noise_amp: 0.5,
         }

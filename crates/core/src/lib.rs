@@ -34,6 +34,7 @@
 //!   RID-intersection joins raced under the same kill rules, applying
 //!   Section 2's JOIN selectivity transformation at planning time.
 
+mod background;
 pub mod baseline;
 pub mod dynamic;
 pub mod filter;
@@ -41,7 +42,6 @@ pub mod fscan;
 pub mod initial;
 pub mod join;
 pub mod jscan;
-pub mod parallel;
 pub mod request;
 pub mod ridlist;
 pub mod sscan;

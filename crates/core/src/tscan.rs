@@ -16,6 +16,27 @@ pub enum StrategyStep {
     Done,
 }
 
+/// Drains a resumable scan: feeds each row `step` produces (the shared
+/// step of [`Tscan`], [`crate::Fscan`] and [`crate::Sscan`]) to `deliver`
+/// until the scan is exhausted (`Ok(true)`) or `deliver` declines a row
+/// (`Ok(false)`).
+pub(crate) fn drain(
+    mut step: impl FnMut() -> Result<StrategyStep, StorageError>,
+    mut deliver: impl FnMut(Rid, Option<Record>) -> bool,
+) -> Result<bool, StorageError> {
+    loop {
+        match step()? {
+            StrategyStep::Deliver(rid, record) => {
+                if !deliver(rid, record) {
+                    return Ok(false);
+                }
+            }
+            StrategyStep::Progress => {}
+            StrategyStep::Done => return Ok(true),
+        }
+    }
+}
+
 /// Resumable full table scan evaluating the total restriction on every
 /// record.
 pub struct Tscan<'a> {

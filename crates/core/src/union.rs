@@ -83,7 +83,8 @@ impl<'a> UnionScan<'a> {
         // (sum of estimates, all distinct) prices out, go sequential now.
         let estimate_sum: f64 = self.arms.iter().map(|a| a.estimate).sum();
         let projected = crate::jscan::Jscan::fetch_cost(self.table, estimate_sum);
-        if projected >= self.config.switch_threshold * tscan_cost {
+        let rules = self.config.kill_rules();
+        if rules.projected_out(projected, tscan_cost) {
             self.events.push(format!(
                 "union estimate {estimate_sum:.0} RIDs prices out (fetch ~{projected:.0} vs Tscan {tscan_cost:.0})"
             ));
@@ -115,7 +116,7 @@ impl<'a> UnionScan<'a> {
                         self.table,
                         rids.len() as f64 + remaining,
                     );
-                    if projected >= self.config.switch_threshold * tscan_cost {
+                    if rules.projected_out(projected, tscan_cost) {
                         self.events.push(format!(
                             "union grew past the competition threshold after {} RIDs: Tscan",
                             rids.len()

@@ -94,7 +94,7 @@ impl Policy {
                 // absorption tally behind the lock-free hit path.
                 "crates/storage/src/touch.rs".into(),
                 // Background-stage abandon flag.
-                "crates/core/src/parallel.rs".into(),
+                "crates/core/src/background.rs".into(),
                 // The model checker's ordering interpreter: it *consumes*
                 // `Ordering` values to simulate them.
                 "crates/check/src/engine.rs".into(),
@@ -178,7 +178,7 @@ impl Policy {
                 "crates/core/src/union.rs".into(),
                 "crates/core/src/ridlist.rs".into(),
                 "crates/core/src/filter.rs".into(),
-                "crates/core/src/parallel.rs".into(),
+                "crates/core/src/background.rs".into(),
                 "crates/core/src/tactics.rs".into(),
                 "crates/core/src/dynamic.rs".into(),
                 "crates/core/src/baseline.rs".into(),
