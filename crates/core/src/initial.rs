@@ -43,7 +43,7 @@ pub enum ShortcutKind {
 }
 
 /// Result of the initial stage.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct InitialPlan {
     /// Set when estimation alone resolved the retrieval.
     pub shortcut: Option<ShortcutKind>,
