@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use rdb_bench::fixtures::JscanFixture;
+use rdb_bench::fixtures::{discarded_scans, run_traced, winner_strategy, JscanFixture};
 use rdb_bench::report::{fmt, print_table};
 use rdb_btree::KeyRange;
 use rdb_core::baseline::{estimate_all, StaticJscan, StaticJscanConfig};
@@ -52,7 +52,7 @@ fn sweep() {
             }
         };
         f.cold();
-        let dyn_run = dynamic.run(&request()).unwrap();
+        let (dyn_run, trace) = run_traced(&dynamic, &request());
         f.cold();
         let req = request();
         let est = estimate_all(&req);
@@ -71,12 +71,7 @@ fn sweep() {
             fmt(fscan.cost),
             fmt(tscan.cost),
             fmt(dyn_run.cost / oracle.max(1e-9)),
-            dyn_run
-                .events
-                .iter()
-                .filter(|e| e.contains("discarded"))
-                .count()
-                .to_string(),
+            discarded_scans(&trace).to_string(),
         ]);
     }
     print_table(
@@ -120,17 +115,14 @@ fn tiers() {
             }
         };
         f.cold();
-        let run = dynamic.run(&request).unwrap();
-        let tier = run
-            .events
-            .iter()
-            .find_map(|e| {
-                if e.contains("final stage") {
-                    e.split('(').nth(1).and_then(|t| t.split(' ').next())
-                } else {
-                    None
-                }
-            })
+        let (run, trace) = run_traced(&dynamic, &request);
+        // A final-stage run reports the list's source, the first word of
+        // the winner's detail ("background-only (Jscan + final stage)");
+        // the trace does not record the list's storage tier.
+        let tier = winner_strategy(&trace)
+            .filter(|w| w.contains("final stage"))
+            .and_then(|w| w.split('(').nth(1))
+            .and_then(|t| t.split(' ').next())
             .unwrap_or(if run.strategy == "TinyRangeFetch" {
                 "tiny-shortcut"
             } else if run.strategy == "EndOfData" {

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use rdb_bench::fixtures::JscanFixture;
+use rdb_bench::fixtures::{run_traced, winner_strategy, JscanFixture};
 use rdb_bench::report::{fmt, print_table};
 use rdb_btree::KeyRange;
 use rdb_core::{
@@ -254,7 +254,7 @@ fn index_only() {
             }
         };
         f.cold();
-        let run = dynamic.run(&request()).unwrap();
+        let (run, trace) = run_traced(&dynamic, &request());
         f.cold();
         // The best static fetch-based comparator for each scenario.
         let fscan = static_opt.execute(
@@ -269,11 +269,7 @@ fn index_only() {
             format!("{}", run.deliveries.len()),
             fmt(run.cost),
             fmt(fscan.cost),
-            run.events
-                .iter()
-                .find(|e| e.contains("won") || e.contains("continues"))
-                .cloned()
-                .unwrap_or_else(|| run.strategy.clone()),
+            winner_strategy(&trace).unwrap_or(&run.strategy).to_string(),
         ]);
     }
     print_table(

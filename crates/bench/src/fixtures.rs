@@ -1,10 +1,43 @@
 //! Shared experiment fixtures.
 
 use rdb_btree::BTree;
+use rdb_core::{
+    DynamicOptimizer, RetrievalRequest, RetrievalResult, TraceBuffer, TraceEvent, Tracer,
+};
 use rdb_storage::{
     shared_meter, shared_pool, Column, CostConfig, FileId, HeapTable, Record, Schema, SharedCost,
     Value, ValueType,
 };
+
+/// Runs `request` through `optimizer` with a trace buffer attached and
+/// returns the result together with the run's typed decision events.
+pub fn run_traced(
+    optimizer: &DynamicOptimizer,
+    request: &RetrievalRequest<'_>,
+) -> (RetrievalResult, Vec<TraceEvent>) {
+    let buffer = TraceBuffer::shared(1 << 16);
+    let result = optimizer
+        .run_traced(request, None, &Tracer::new(buffer.clone()))
+        .unwrap();
+    (result, buffer.take())
+}
+
+/// Index scans the competition discarded in a run's trace.
+pub fn discarded_scans(events: &[TraceEvent]) -> usize {
+    events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::IndexDiscarded { .. }))
+        .count()
+}
+
+/// The detailed strategy of the run's [`TraceEvent::Winner`], e.g.
+/// `"background-only (Jscan + final stage)"`.
+pub fn winner_strategy(events: &[TraceEvent]) -> Option<&str> {
+    events.iter().find_map(|e| match e {
+        TraceEvent::Winner { strategy, .. } => Some(strategy.as_str()),
+        _ => None,
+    })
+}
 
 /// A raw (core-level) fixture: one table with modular columns and one
 /// index per column — the canonical Jscan playground.

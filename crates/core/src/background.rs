@@ -51,21 +51,16 @@ pub(crate) trait Background {
     /// own; a threaded background blocks for news while it has none.
     fn next_turn(&mut self, fgr_ready: bool) -> Option<Turn>;
 
-    /// Runs one background turn. Once the Jscan has finished, appends its
-    /// decision log to `events` and returns its outcome; the background
-    /// gets no further turns after that.
-    fn advance(&mut self, rt: &mut RunTrace<'_>, events: &mut Vec<String>) -> Option<JscanOutcome>;
+    /// Runs one background turn. Once the Jscan has finished, returns its
+    /// outcome; the background gets no further turns after that.
+    fn advance(&mut self, rt: &mut RunTrace<'_>) -> Option<JscanOutcome>;
 
     /// Runs the background to its outcome with no foreground (the
     /// background-only tactic). `None` when there is no background.
-    fn complete(
-        &mut self,
-        rt: &mut RunTrace<'_>,
-        events: &mut Vec<String>,
-    ) -> Option<JscanOutcome> {
+    fn complete(&mut self, rt: &mut RunTrace<'_>) -> Option<JscanOutcome> {
         self.retire_foreground();
         while self.next_turn(false).is_some() {
-            if let Some(outcome) = self.advance(rt, events) {
+            if let Some(outcome) = self.advance(rt) {
                 return Some(outcome);
             }
         }
@@ -126,28 +121,21 @@ impl Background for Cooperative<'_> {
         })
     }
 
-    fn advance(&mut self, rt: &mut RunTrace<'_>, events: &mut Vec<String>) -> Option<JscanOutcome> {
+    fn advance(&mut self, rt: &mut RunTrace<'_>) -> Option<JscanOutcome> {
         let jscan = self.jscan.as_mut()?;
         let status = jscan.step();
         rt.phase("jscan");
         if status == JscanStatus::Running {
             return None;
         }
-        events.extend(jscan.events().iter().map(ToString::to_string));
         let outcome = jscan.take_outcome();
         self.abandon();
         Some(outcome)
     }
 
-    fn complete(
-        &mut self,
-        rt: &mut RunTrace<'_>,
-        events: &mut Vec<String>,
-    ) -> Option<JscanOutcome> {
-        let mut jscan = self.jscan.take()?;
-        let outcome = jscan.run();
+    fn complete(&mut self, rt: &mut RunTrace<'_>) -> Option<JscanOutcome> {
+        let outcome = self.jscan.take()?.run();
         rt.phase("jscan");
-        events.extend(jscan.events().iter().map(ToString::to_string));
         Some(outcome)
     }
 
@@ -191,12 +179,8 @@ enum Update {
         guaranteed_best: f64,
         fresh_rids: Vec<Rid>,
     },
-    /// The joint scan finished; its decision log rides along.
-    Done {
-        outcome: JscanOutcome,
-        events: Vec<String>,
-        spent: f64,
-    },
+    /// The joint scan finished.
+    Done(JscanOutcome),
 }
 
 /// The Jscan on a scoped worker thread, seen from the foreground thread.
@@ -274,14 +258,7 @@ fn worker(mut jscan: Jscan<'_>, tx: mpsc::Sender<Update>, abandon: &AtomicBool, 
         let fresh_rids = if lend { fresh.to_vec() } else { Vec::new() };
         cursor = next;
         if status == JscanStatus::Finished {
-            let outcome = jscan.take_outcome();
-            let events = jscan.events().iter().map(ToString::to_string).collect();
-            let spent = jscan.spent();
-            let _ = tx.send(Update::Done {
-                outcome,
-                events,
-                spent,
-            });
+            let _ = tx.send(Update::Done(jscan.take_outcome()));
             break;
         }
         let best = jscan.guaranteed_best();
@@ -328,11 +305,7 @@ impl Background for Threaded<'_> {
         self.foreground.then_some(Turn::Foreground)
     }
 
-    fn advance(
-        &mut self,
-        _rt: &mut RunTrace<'_>,
-        events: &mut Vec<String>,
-    ) -> Option<JscanOutcome> {
+    fn advance(&mut self, _rt: &mut RunTrace<'_>) -> Option<JscanOutcome> {
         match self.inbox.take()? {
             Update::Progress {
                 guaranteed_best,
@@ -344,16 +317,8 @@ impl Background for Threaded<'_> {
                 }
                 None
             }
-            Update::Done {
-                outcome,
-                events: log,
-                spent,
-            } => {
+            Update::Done(outcome) => {
                 self.open = false;
-                events.extend(log);
-                events.push(format!(
-                    "background stage spent {spent:.1} on its own meter"
-                ));
                 Some(outcome)
             }
         }

@@ -232,7 +232,6 @@ impl StaticOptimizer {
             deliveries,
             cost,
             strategy: format!("static {plan:?}"),
-            events: vec![format!("static plan {plan:?} executed as committed")],
             sscan_index: match plan {
                 StaticPlan::Sscan { pos } => Some(pos),
                 _ => None,
@@ -287,23 +286,16 @@ impl StaticJscan {
         let mut rt = RunTrace::start(&tracer, &meter);
         let cost_before = meter.total();
         let mut sink = Sink::new(request.limit);
-        let mut events: Vec<String> = Vec::new();
 
         let card = table.cardinality() as f64;
         let selected: Vec<&(usize, KeyRange, f64)> = estimates
             .iter()
             .filter(|(_, _, est)| *est <= self.config.selectivity_threshold * card)
             .collect();
-        events.push(format!(
-            "static selection: {} of {} indexes pass the threshold",
-            selected.len(),
-            estimates.len()
-        ));
 
         if selected.is_empty() {
             // Below-threshold indexes only: sequential scan, committed.
             let mut s = Tscan::new(table, request.residual.clone(), meter.clone());
-            events.push("static plan: Tscan".into());
             loop {
                 match s.step()? {
                     StrategyStep::Deliver(rid, record) => {
@@ -319,7 +311,7 @@ impl StaticJscan {
             // Scan every selected index to completion; intersect as we go;
             // never abandon (the defining limitation of this baseline).
             let mut current: Option<Vec<Rid>> = None;
-            for (pos, range, est) in selected {
+            for (pos, range, _) in selected {
                 let tree = request.indexes[*pos].tree;
                 let mut rids: Vec<Rid> = Vec::new();
                 let mut scan = tree.range_scan(range.clone(), &meter);
@@ -327,11 +319,6 @@ impl StaticJscan {
                     rids.push(rid);
                 }
                 meter.charge_rid_ops(rids.len() as u64);
-                events.push(format!(
-                    "scanned {} fully: {} RIDs (estimate was {est:.0})",
-                    tree.name(),
-                    rids.len()
-                ));
                 current = Some(match current {
                     None => rids,
                     Some(mut prev) => {
@@ -343,16 +330,7 @@ impl StaticJscan {
             }
             let list = current.unwrap_or_default();
             let rid_list = crate::ridlist::RidList::from_vec(list);
-            final_stage(
-                table,
-                &rid_list,
-                &request.residual,
-                &[],
-                &mut sink,
-                &mut events,
-                &mut rt,
-                &meter,
-            )?;
+            final_stage(table, &rid_list, &request.residual, &[], &mut sink, &mut rt, &meter)?;
         }
 
         let cost = meter.total() - cost_before;
@@ -360,7 +338,6 @@ impl StaticJscan {
             deliveries: sink.into_deliveries(),
             cost,
             strategy: "static-jscan [MoHa90]".into(),
-            events,
             sscan_index: None,
         })
     }

@@ -362,17 +362,15 @@ impl DynamicOptimizer {
             Some(obs) => Sink::with_observer(request.limit, obs),
             None => Sink::new(request.limit),
         };
-        let mut events = vec![format!("tactic: {choice:?}")];
         let mut sscan_index = None;
         // Detailed strategy string of the tactic that actually produced the
         // rows (e.g. "fast-first (degraded to background-only)") — the
         // `Winner` trace event carries this, so trace consumers can check
         // switches against what really ran.
-        let mut winner_detail: Option<String> = None;
+        let mut winner_detail: Option<&str> = None;
 
         match choice {
             TacticChoice::EndOfData => {
-                events.push("empty range detected during estimation".into());
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "empty-range".into(),
                     detail: "empty range detected during estimation: end of data".into(),
@@ -388,7 +386,6 @@ impl DynamicOptimizer {
                 let Some(ShortcutKind::TinyRange { index_pos, count }) = &plan.shortcut else {
                     unreachable!("tiny fetch without tiny shortcut")
                 };
-                events.push(format!("tiny range of {count} RIDs on index {index_pos}"));
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "tiny-range".into(),
                     detail: format!(
@@ -456,15 +453,13 @@ impl DynamicOptimizer {
                     rt: &mut rt,
                     cost: &cost,
                 };
-                let report = tactics::race(
+                let strategy = tactics::race(
                     tactic,
                     self.config.parallel,
                     |meter| self.build_jscan(request, &plan, claimed, meter),
                     &mut ctx,
                 )?;
-                winner_detail = Some(report.strategy.clone());
-                events.push(report.strategy);
-                events.extend(report.events);
+                winner_detail = Some(strategy);
             }
         }
 
@@ -479,7 +474,7 @@ impl DynamicOptimizer {
         }
         let deliveries = sink.into_deliveries();
         tracer.emit_with(|| TraceEvent::Winner {
-            strategy: winner_detail.unwrap_or_else(|| format!("{choice:?}")),
+            strategy: winner_detail.map_or_else(|| format!("{choice:?}"), str::to_owned),
             cost: cost_total,
             rows: deliveries.len(),
         });
@@ -488,7 +483,6 @@ impl DynamicOptimizer {
                 deliveries,
                 cost: cost_total,
                 strategy: format!("{choice:?}"),
-                events,
                 sscan_index,
             },
             hint: TacticHint {
@@ -541,7 +535,6 @@ impl DynamicOptimizer {
             estimation_nodes: 0,
         });
         let mut sink = Sink::new(limit);
-        let mut events = vec!["tactic: UnionScan (OR-connected restriction)".to_string()];
 
         // Estimate each arm; provably empty arms drop out for free.
         let mut union_arms: Vec<UnionArm<'_>> = Vec::new();
@@ -552,7 +545,6 @@ impl DynamicOptimizer {
                 estimate: est.estimate.max(0.0).round() as u64,
             });
             if est.exact && est.estimate == 0.0 {
-                events.push(format!("arm {} provably empty: dropped", tree.name()));
                 tracer.emit_with(|| TraceEvent::Shortcut {
                     kind: "empty-arm".into(),
                     detail: format!("arm {} provably empty: dropped", tree.name()),
@@ -569,7 +561,6 @@ impl DynamicOptimizer {
 
         let strategy;
         if union_arms.is_empty() {
-            events.push("every arm empty: end of data".into());
             tracer.emit_with(|| TraceEvent::Shortcut {
                 kind: "empty-range".into(),
                 detail: "every arm empty: end of data".into(),
@@ -577,22 +568,13 @@ impl DynamicOptimizer {
             strategy = "UnionScan (empty)".to_string();
         } else {
             let mut scan = UnionScan::new(table, union_arms, self.config.jscan, cost.clone());
+            scan.set_tracer(tracer.clone());
             let outcome = scan.run();
             rt.phase("union");
-            let outcome = outcome?;
-            events.extend(scan.events().iter().cloned());
-            if tracer.enabled() {
-                for e in scan.events() {
-                    let message = e.clone();
-                    tracer.emit_with(|| TraceEvent::Note { message });
-                }
-            }
-            match outcome {
+            match outcome? {
                 UnionOutcome::Rids(rids) => {
                     let list = RidList::from_vec(rids);
-                    tactics::final_stage(
-                        table, &list, residual, &[], &mut sink, &mut events, &mut rt, &cost,
-                    )?;
+                    tactics::final_stage(table, &list, residual, &[], &mut sink, &mut rt, &cost)?;
                     strategy = "UnionScan".to_string();
                 }
                 UnionOutcome::UseTscan => {
@@ -601,7 +583,7 @@ impl DynamicOptimizer {
                         to: "tscan".into(),
                         reason: "union of arms priced out: full scan is cheaper".into(),
                     });
-                    tactics::run_tscan(table, residual, &[], &mut sink, &mut events, &mut rt, &cost)?;
+                    tactics::run_tscan(table, residual, &[], &mut sink, &mut rt, &cost)?;
                     strategy = "UnionScan -> Tscan".to_string();
                 }
             }
@@ -626,7 +608,6 @@ impl DynamicOptimizer {
             deliveries,
             cost: cost_total,
             strategy,
-            events,
             sscan_index: None,
         })
     }

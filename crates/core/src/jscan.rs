@@ -27,8 +27,6 @@
 //! refiltered and continues — the paper's "limited simultaneous scanning
 //! of two adjacent indexes".
 
-use std::fmt;
-
 use rdb_btree::{BTree, KeyRange, RangeScan};
 use rdb_competition::{Kill, KillRules};
 use rdb_storage::{FileId, HeapTable, Rid, SharedCost};
@@ -78,47 +76,6 @@ impl JscanConfig {
     }
 }
 
-/// Why/what happened inside the joint scan (for tests and experiment
-/// narration).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JscanEvent {
-    /// Index `name` completed a list of `kept` RIDs (intersected).
-    ScanCompleted {
-        /// Index name.
-        name: String,
-        /// RIDs in the completed (intersected) list.
-        kept: usize,
-    },
-    /// Index `name` was discarded by a competition criterion.
-    IndexDiscarded {
-        /// Index name.
-        name: String,
-        /// Which criterion fired.
-        reason: DiscardReason,
-    },
-    /// A complete list was tiny; Jscan ended early.
-    TinyListShortcut {
-        /// List length.
-        len: usize,
-    },
-    /// The intersection became empty: no record can qualify.
-    EmptyIntersection,
-    /// No list survived; sequential scan is the right plan.
-    RecommendTscan,
-    /// Two adjacent indexes entered simultaneous scanning.
-    SimultaneousStart {
-        /// First index name.
-        a: String,
-        /// Second index name.
-        b: String,
-    },
-    /// The simultaneous pair resolved; `winner` completed first.
-    SimultaneousWinner {
-        /// Winning index name.
-        winner: String,
-    },
-}
-
 /// Which competition criterion discarded an index scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiscardReason {
@@ -131,26 +88,6 @@ pub enum DiscardReason {
     /// The index's storage died mid-scan (injected fault); the competition
     /// continues on the surviving indexes or falls back to Tscan.
     StorageFault,
-}
-
-impl fmt::Display for JscanEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JscanEvent::ScanCompleted { name, kept } => {
-                write!(f, "scan of {name} completed: {kept} RIDs")
-            }
-            JscanEvent::IndexDiscarded { name, reason } => {
-                write!(f, "index {name} discarded ({reason:?})")
-            }
-            JscanEvent::TinyListShortcut { len } => write!(f, "tiny list shortcut ({len} RIDs)"),
-            JscanEvent::EmptyIntersection => write!(f, "empty intersection"),
-            JscanEvent::RecommendTscan => write!(f, "recommend Tscan"),
-            JscanEvent::SimultaneousStart { a, b } => write!(f, "simultaneous scan of {a} and {b}"),
-            JscanEvent::SimultaneousWinner { winner } => {
-                write!(f, "simultaneous winner: {winner}")
-            }
-        }
-    }
 }
 
 /// Final product of the joint scan.
@@ -219,7 +156,6 @@ pub struct Jscan<'a> {
     completed_scans: usize,
     tscan_cost: f64,
     guaranteed_best: f64,
-    events: Vec<JscanEvent>,
     outcome: Option<JscanOutcome>,
     borrowable: Vec<Rid>,
     borrow_open: bool,
@@ -252,7 +188,6 @@ impl<'a> Jscan<'a> {
             completed_scans: 0,
             tscan_cost,
             guaranteed_best: tscan_cost,
-            events: Vec::new(),
             outcome: None,
             borrowable: Vec::new(),
             borrow_open: true,
@@ -282,11 +217,8 @@ impl<'a> Jscan<'a> {
                     .emit_with(|| TraceEvent::CandidateEstimate { index, estimate });
             }
         }
-    }
-
-    /// Chronological event log.
-    pub fn events(&self) -> &[JscanEvent] {
-        &self.events
+        // The first pair was armed at construction, before any tracer.
+        self.trace_simultaneous_pair();
     }
 
     /// The buffer pool behind this scan's table. Worker threads running a
@@ -328,13 +260,6 @@ impl<'a> Jscan<'a> {
     /// Takes the outcome after [`JscanStatus::Finished`].
     pub fn take_outcome(&mut self) -> JscanOutcome {
         self.outcome.take().expect("jscan not finished")
-    }
-
-    /// Total cost units on this scan's meter. For a background-stage Jscan
-    /// built against a fresh private meter this is the stage's whole bill
-    /// (absorbed into the session meter at join).
-    pub fn spent(&self) -> f64 {
-        self.cost.total()
     }
 
     /// Estimated cost of fetching `n` RIDs from the table in sorted order:
@@ -387,18 +312,24 @@ impl<'a> Jscan<'a> {
             }
         }
         if self.config.simultaneous_adjacent
+            && self.primary.is_some()
             && self.secondary.is_none()
             && self.next_index < self.indexes.len()
         {
-            let Some(primary_idx) = self.primary.as_ref().map(|p| p.idx) else {
-                return;
-            };
             let s = self.start_scan(self.next_index);
             self.next_index += 1;
-            let a = self.indexes[primary_idx].tree.name().to_owned();
-            let b = self.indexes[s.idx].tree.name().to_owned();
-            self.events.push(JscanEvent::SimultaneousStart { a, b });
             self.secondary = Some(s);
+            self.trace_simultaneous_pair();
+        }
+    }
+
+    /// Announces the armed simultaneous pair, if there is one.
+    fn trace_simultaneous_pair(&self) {
+        if let (Some(p), Some(s)) = (&self.primary, &self.secondary) {
+            let (a, b) = (self.indexes[p.idx].tree, self.indexes[s.idx].tree);
+            self.tracer.emit_with(|| TraceEvent::Note {
+                message: format!("simultaneous scan of {} and {}", a.name(), b.name()),
+            });
         }
     }
 
@@ -469,13 +400,8 @@ impl<'a> Jscan<'a> {
             // Its partial list is worthless; discard the scan and let the
             // competition continue on the surviving indexes (finalize falls
             // back to Tscan if none survive).
-            let name = tree.name().to_owned();
             self.tracer.emit_with(|| TraceEvent::FaultAbsorbed {
-                index: name.clone(),
-            });
-            self.events.push(JscanEvent::IndexDiscarded {
-                name,
-                reason: DiscardReason::StorageFault,
+                index: tree.name().to_owned(),
             });
             if is_borrow_source {
                 self.borrow_open = false;
@@ -529,10 +455,6 @@ impl<'a> Jscan<'a> {
         let name = self.indexes[active.idx].tree.name().to_owned();
         let list = active.builder.finish();
         self.completed_scans += 1;
-        self.events.push(JscanEvent::ScanCompleted {
-            name: name.clone(),
-            kept: list.len(),
-        });
 
         if list.is_empty() {
             self.tracer.emit_with(|| TraceEvent::ScanCompleted {
@@ -544,7 +466,6 @@ impl<'a> Jscan<'a> {
                 kind: "empty-intersection".into(),
                 detail: format!("{name} produced no RIDs: end of data"),
             });
-            self.events.push(JscanEvent::EmptyIntersection);
             self.outcome = Some(JscanOutcome::Empty);
             return;
         }
@@ -560,8 +481,8 @@ impl<'a> Jscan<'a> {
             self.secondary.take()
         };
         if let Some(mut other) = partner {
-            self.events.push(JscanEvent::SimultaneousWinner {
-                winner: name.clone(),
+            self.tracer.emit_with(|| TraceEvent::Note {
+                message: format!("simultaneous winner: {name}"),
             });
             if let Some(shadow) = other.shadow.take() {
                 // Rebuild the partner's list, keeping only RIDs that pass
@@ -597,17 +518,12 @@ impl<'a> Jscan<'a> {
             } else {
                 // Partner already spilled: the paper stops simultaneity at
                 // the memory boundary — discard the partner's partial list.
-                let partner_name = self.indexes[other.idx].tree.name().to_owned();
                 self.tracer.emit_with(|| TraceEvent::IndexDiscarded {
-                    index: partner_name.clone(),
+                    index: self.indexes[other.idx].tree.name().to_owned(),
                     reason: DiscardReason::SimultaneousOverflow,
                     projected_cost: 0.0,
                     spent: other.spent,
                     guaranteed_best: self.guaranteed_best,
-                });
-                self.events.push(JscanEvent::IndexDiscarded {
-                    name: partner_name,
-                    reason: DiscardReason::SimultaneousOverflow,
                 });
                 // `other` was taken from its slot and is dropped here.
             }
@@ -632,7 +548,6 @@ impl<'a> Jscan<'a> {
                 kind: "tiny-list".into(),
                 detail: format!("{len} RID(s) after {name}: remaining scans skipped"),
             });
-            self.events.push(JscanEvent::TinyListShortcut { len });
             self.outcome = Some(JscanOutcome::FinalList(list));
         } else {
             self.complete = Some(list);
@@ -703,19 +618,17 @@ impl<'a> Jscan<'a> {
             .kill_rules()
             .verdict(projected, spend, self.guaranteed_best);
         if let Some(kill) = verdict {
-            let name = self.indexes[idx].tree.name().to_owned();
             let reason = match kill {
                 Kill::Projected => DiscardReason::ProjectedCost,
                 Kill::Spent => DiscardReason::ScanSpend,
             };
             self.tracer.emit_with(|| TraceEvent::IndexDiscarded {
-                index: name.clone(),
+                index: self.indexes[idx].tree.name().to_owned(),
                 reason,
                 projected_cost: projected,
                 spent: spend,
                 guaranteed_best,
             });
-            self.events.push(JscanEvent::IndexDiscarded { name, reason });
             if idx == 0 {
                 self.borrow_open = false;
             }
@@ -730,19 +643,10 @@ impl<'a> Jscan<'a> {
     /// All indexes processed: decide between the final list and Tscan.
     fn finalize(&mut self) -> JscanStatus {
         let outcome = match self.complete.take() {
-            Some(list) => {
-                let final_cost = Self::fetch_cost(self.table, list.len() as f64);
-                if final_cost < self.tscan_cost {
-                    JscanOutcome::FinalList(list)
-                } else {
-                    self.events.push(JscanEvent::RecommendTscan);
-                    JscanOutcome::UseTscan
-                }
+            Some(list) if Self::fetch_cost(self.table, list.len() as f64) < self.tscan_cost => {
+                JscanOutcome::FinalList(list)
             }
-            None => {
-                self.events.push(JscanEvent::RecommendTscan);
-                JscanOutcome::UseTscan
-            }
+            _ => JscanOutcome::UseTscan,
         };
         self.outcome = Some(outcome);
         JscanStatus::Finished
@@ -752,6 +656,8 @@ impl<'a> Jscan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceBuffer;
+    use std::sync::Arc;
     use rdb_storage::{
         shared_meter, shared_pool, Column, CostConfig, Record, Schema, SharedCost, Value,
         ValueType,
@@ -809,6 +715,38 @@ mod tests {
         Jscan::new(table, indexes, config, cost)
     }
 
+    /// Attaches a fresh trace buffer to `j` and returns it.
+    fn traced(j: &mut Jscan<'_>) -> Arc<TraceBuffer> {
+        let buffer = TraceBuffer::shared(4096);
+        j.set_tracer(Tracer::new(buffer.clone()));
+        buffer
+    }
+
+    fn notes(buffer: &TraceBuffer) -> Vec<String> {
+        buffer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Note { message } => Some(message),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn has_shortcut(buffer: &TraceBuffer, wanted: &str) -> bool {
+        buffer
+            .events()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Shortcut { kind, .. } if kind == wanted))
+    }
+
+    fn discarded_for(buffer: &TraceBuffer, wanted: DiscardReason) -> bool {
+        buffer
+            .events()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::IndexDiscarded { reason, .. } if *reason == wanted))
+    }
+
     #[test]
     fn intersects_two_selective_indexes() {
         let (table, ia, ib, _ic, _cost) = setup(2000, (50, 40, 2));
@@ -817,10 +755,8 @@ mod tests {
         let jscan_indexes = vec![jidx(&ia, KeyRange::eq(7)), jidx(&ib, KeyRange::eq(7))];
         let mut j = jscan(&table, jscan_indexes, JscanConfig::default());
         match j.run() {
-            JscanOutcome::FinalList(list) => {
-                assert_eq!(list.len(), 10, "events: {:?}", j.events());
-            }
-            other => panic!("expected final list, got {other:?} ({:?})", j.events()),
+            JscanOutcome::FinalList(list) => assert_eq!(list.len(), 10),
+            other => panic!("expected final list, got {other:?}"),
         }
     }
 
@@ -833,14 +769,12 @@ mod tests {
             vec![jidx(&ia, KeyRange::eq(3)), jidx(&ib, KeyRange::eq(4))],
             JscanConfig::default(),
         );
+        let trace = traced(&mut j);
         match j.run() {
             JscanOutcome::Empty => {}
             other => panic!("expected empty, got {other:?}"),
         }
-        assert!(j
-            .events()
-            .iter()
-            .any(|e| matches!(e, JscanEvent::EmptyIntersection)));
+        assert!(has_shortcut(&trace, "empty-intersection"));
     }
 
     #[test]
@@ -853,17 +787,12 @@ mod tests {
             vec![jidx(&ia, KeyRange::closed(0, 2))], // all records
             JscanConfig::default(),
         );
+        let trace = traced(&mut j);
         match j.run() {
             JscanOutcome::UseTscan => {}
-            other => panic!("expected Tscan, got {other:?} ({:?})", j.events()),
+            other => panic!("expected Tscan, got {other:?}"),
         }
-        assert!(j.events().iter().any(|e| matches!(
-            e,
-            JscanEvent::IndexDiscarded {
-                reason: DiscardReason::ProjectedCost,
-                ..
-            }
-        )));
+        assert!(discarded_for(&trace, DiscardReason::ProjectedCost));
     }
 
     #[test]
@@ -879,6 +808,7 @@ mod tests {
             ],
             JscanConfig::default(),
         );
+        let trace = traced(&mut j);
         match j.run() {
             JscanOutcome::FinalList(list) => {
                 assert_eq!(list.len(), 4);
@@ -886,10 +816,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(j
-            .events()
-            .iter()
-            .any(|e| matches!(e, JscanEvent::TinyListShortcut { .. })));
+        assert!(has_shortcut(&trace, "tiny-list"));
         assert_eq!(j.completed_scans(), 1, "second index never scanned");
     }
 
@@ -967,20 +894,13 @@ mod tests {
                 ..JscanConfig::default()
             },
         );
+        let trace = traced(&mut j);
         let outcome = j.run();
-        assert!(j
-            .events()
-            .iter()
-            .any(|e| matches!(e, JscanEvent::SimultaneousStart { .. })));
-        let winner = j.events().iter().find_map(|e| match e {
-            JscanEvent::SimultaneousWinner { winner } => Some(winner.clone()),
-            _ => None,
-        });
-        assert_eq!(
-            winner.as_deref(),
-            Some("idx_b"),
-            "the truly smaller index must win the race: {:?}",
-            j.events()
+        let notes = notes(&trace);
+        assert!(notes.contains(&"simultaneous scan of idx_a and idx_b".to_string()));
+        assert!(
+            notes.contains(&"simultaneous winner: idx_b".to_string()),
+            "the truly smaller index must win the race: {notes:?}"
         );
         match outcome {
             JscanOutcome::FinalList(list) => {
@@ -1016,27 +936,16 @@ mod tests {
                 batch: 64, // partner racks up entries fast
             },
         );
+        let trace = traced(&mut j);
         let _ = j.run();
         // Either the partner spilled and was discarded at the win, or it
         // was refiltered in memory — both are valid races; assert that a
         // spill that did happen produced the overflow event.
-        let partner_spilled_discard = j.events().iter().any(|e| {
-            matches!(
-                e,
-                JscanEvent::IndexDiscarded {
-                    reason: DiscardReason::SimultaneousOverflow,
-                    ..
-                }
-            )
-        });
-        let winner_event = j
-            .events()
-            .iter()
-            .any(|e| matches!(e, JscanEvent::SimultaneousWinner { .. }));
-        assert!(winner_event, "{:?}", j.events());
+        let notes = notes(&trace);
+        assert!(notes.iter().any(|n| n.starts_with("simultaneous winner")), "{notes:?}");
         // With batch=64 and a 4-entry buffer, the big scan must have
         // spilled before the 2-rid scan won its first quantum back.
-        assert!(partner_spilled_discard, "{:?}", j.events());
+        assert!(discarded_for(&trace, DiscardReason::SimultaneousOverflow));
     }
 
     #[test]
@@ -1073,7 +982,7 @@ mod tests {
         );
         match j.run() {
             JscanOutcome::FinalList(list) => assert_eq!(list.len(), 15),
-            other => panic!("{other:?} ({:?})", j.events()),
+            other => panic!("{other:?}"),
         }
         assert_eq!(j.completed_scans(), 3);
     }

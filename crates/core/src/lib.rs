@@ -63,7 +63,7 @@ pub use join::{
     CandidateOutcome, JoinCandidateReport, JoinConfig, JoinMethod, JoinOp, JoinPair, JoinRequest,
     JoinResult, JoinSide, PairPred, SideId,
 };
-pub use jscan::{DiscardReason, Jscan, JscanConfig, JscanEvent, JscanIndex, JscanOutcome};
+pub use jscan::{DiscardReason, Jscan, JscanConfig, JscanIndex, JscanOutcome};
 pub use request::{
     Delivery, DeliveryObserver, IndexChoice, KeyPred, OptimizeGoal, RecordPred, RetrievalRequest,
     RetrievalResult, Sink,

@@ -259,10 +259,11 @@ pub struct RetrievalResult {
     /// Total cost units spent on this retrieval.
     pub cost: f64,
     /// Which tactic/strategy ultimately ran (for experiment reporting).
+    /// The decisions behind it (discards, switches, shortcuts) are not
+    /// kept here: attach a [`crate::Tracer`] to the run (e.g.
+    /// [`crate::DynamicOptimizer::run_traced`]) to receive them as typed
+    /// [`crate::TraceEvent`]s.
     pub strategy: String,
-    /// Chronological log of dynamic decisions (index discards, strategy
-    /// switches, shortcuts) for tests and experiment narration.
-    pub events: Vec<String>,
     /// Position (in the request's index list) of the self-sufficient index
     /// whose key tuples appear in `from_index` deliveries, when one ran.
     pub sscan_index: Option<usize>,
@@ -297,7 +298,9 @@ mod tests {
         assert!(!sink.is_full());
     }
 
+    // The check is a `debug_assert!`, compiled out of release builds.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "duplicate delivery")]
     fn duplicate_delivery_caught_in_debug() {
         let mut sink = Sink::new(None);

@@ -59,22 +59,6 @@ impl Default for FgrConfig {
     }
 }
 
-/// Outcome report of one tactic run (deliveries land in the sink).
-#[derive(Debug)]
-pub struct TacticReport {
-    /// Human-readable strategy description.
-    pub strategy: String,
-    /// Chronological decision log.
-    pub events: Vec<String>,
-}
-
-fn report(strategy: &str, events: Vec<String>) -> TacticReport {
-    TacticReport {
-        strategy: strategy.into(),
-        events,
-    }
-}
-
 /// What a tactic works against: the table and its total restriction, the
 /// foreground tuning, and where rows, trace and cost go.
 pub(crate) struct Retrieval<'r, 'o, 't> {
@@ -89,18 +73,16 @@ pub(crate) struct Retrieval<'r, 'o, 't> {
 /// Final retrieval stage: fetch the listed RIDs in **sorted order** (one
 /// page touch per page), evaluate the total restriction, and deliver —
 /// excluding RIDs the foreground already delivered.
-#[allow(clippy::too_many_arguments)]
 pub fn final_stage(
     table: &HeapTable,
     list: &RidList,
     residual: &RecordPred,
     exclude: &[Rid],
     sink: &mut Sink,
-    events: &mut Vec<String>,
     rt: &mut RunTrace<'_>,
     cost: &SharedCost,
 ) -> Result<(), StorageError> {
-    let result = final_stage_inner(table, list, residual, exclude, sink, events, cost);
+    let result = final_stage_inner(table, list, residual, exclude, sink, cost);
     rt.phase("final-stage");
     result
 }
@@ -111,7 +93,6 @@ fn final_stage_inner(
     residual: &RecordPred,
     exclude: &[Rid],
     sink: &mut Sink,
-    events: &mut Vec<String>,
     cost: &SharedCost,
 ) -> Result<(), StorageError> {
     let mut rids = list.to_vec()?;
@@ -119,12 +100,6 @@ fn final_stage_inner(
     rids.dedup();
     let mut excluded: Vec<Rid> = exclude.to_vec();
     excluded.sort_unstable();
-    events.push(format!(
-        "final stage: {} RIDs ({} tier), {} already delivered",
-        rids.len(),
-        list.tier(),
-        excluded.len()
-    ));
     for rid in rids {
         if excluded.binary_search(&rid).is_ok() {
             continue;
@@ -132,7 +107,6 @@ fn final_stage_inner(
         match table.fetch(rid, cost) {
             Ok(record) => {
                 if residual(&record) && !sink.deliver(rid, Some(record)) {
-                    events.push("limit reached during final stage".into());
                     return Ok(());
                 }
             }
@@ -150,21 +124,16 @@ pub(crate) fn run_tscan(
     residual: &RecordPred,
     exclude: &[Rid],
     sink: &mut Sink,
-    events: &mut Vec<String>,
     rt: &mut RunTrace<'_>,
     cost: &SharedCost,
 ) -> Result<(), StorageError> {
     let mut excluded: Vec<Rid> = exclude.to_vec();
     excluded.sort_unstable();
     let mut scan = Tscan::new(table, residual.clone(), cost.clone());
-    events.push("running Tscan".into());
     let drained = drain(
         || scan.step(),
         |rid, record| excluded.binary_search(&rid).is_ok() || sink.deliver(rid, record),
     );
-    if let Ok(false) = drained {
-        events.push("limit reached during Tscan".into());
-    }
     rt.phase("tscan");
     drained.map(|_| ())
 }
@@ -191,7 +160,7 @@ pub(crate) fn race<'a>(
     threaded: bool,
     build: impl Fn(&SharedCost) -> Option<Jscan<'a>>,
     ctx: &mut Retrieval<'_, '_, '_>,
-) -> Result<TacticReport, StorageError> {
+) -> Result<&'static str, StorageError> {
     let tracer = ctx.rt.tracer().clone();
     if threaded && !matches!(tactic, Tactic::BackgroundOnly) {
         let meter = background::private_meter(ctx.table);
@@ -214,7 +183,7 @@ impl Tactic<'_> {
         self,
         bg: &mut impl Background,
         ctx: &mut Retrieval<'_, '_, '_>,
-    ) -> Result<TacticReport, StorageError> {
+    ) -> Result<&'static str, StorageError> {
         match self {
             Tactic::BackgroundOnly => background_only(bg, ctx),
             Tactic::FastFirst => fast_first(bg, ctx),
@@ -230,7 +199,6 @@ impl Tactic<'_> {
 fn finish_background(
     outcome: Option<JscanOutcome>,
     exclude: &[Rid],
-    events: &mut Vec<String>,
     ctx: &mut Retrieval<'_, '_, '_>,
 ) -> Result<(), StorageError> {
     let Retrieval {
@@ -244,7 +212,7 @@ fn finish_background(
     match outcome {
         Some(JscanOutcome::Empty) => Ok(()),
         Some(JscanOutcome::FinalList(list)) => {
-            final_stage(table, &list, residual, exclude, sink, events, rt, cost)
+            final_stage(table, &list, residual, exclude, sink, rt, cost)
         }
         Some(JscanOutcome::UseTscan) | None => {
             rt.tracer().emit_with(|| TraceEvent::Switch {
@@ -252,26 +220,20 @@ fn finish_background(
                 to: "tscan".into(),
                 reason: "no surviving RID list beat the full-scan cost".into(),
             });
-            run_tscan(table, residual, exclude, sink, events, rt, cost)
+            run_tscan(table, residual, exclude, sink, rt, cost)
         }
     }
 }
 
 /// Background-proved-empty: the Jscan's empty intersection ends the run
 /// of the `from` foreground with nothing more to deliver.
-fn background_empty(
-    from: &str,
-    strategy: &str,
-    mut events: Vec<String>,
-    rt: &RunTrace<'_>,
-) -> TacticReport {
-    events.push("background proved empty result".into());
+fn background_empty(from: &str, strategy: &'static str, rt: &RunTrace<'_>) -> &'static str {
     rt.tracer().emit_with(|| TraceEvent::Switch {
         from: from.into(),
         to: "jscan".into(),
         reason: "background proved the result empty".into(),
     });
-    report(strategy, events)
+    strategy
 }
 
 /// **Background-only tactic** (Section 7): total-time optimization with
@@ -280,19 +242,15 @@ fn background_empty(
 fn background_only(
     bg: &mut impl Background,
     ctx: &mut Retrieval<'_, '_, '_>,
-) -> Result<TacticReport, StorageError> {
-    let mut events = Vec::new();
-    let outcome = bg.complete(ctx.rt, &mut events);
+) -> Result<&'static str, StorageError> {
+    let outcome = bg.complete(ctx.rt);
     let strategy = match &outcome {
-        Some(JscanOutcome::Empty) => {
-            events.push("end of data (empty intersection)".into());
-            "background-only (empty)"
-        }
+        Some(JscanOutcome::Empty) => "background-only (empty)",
         Some(JscanOutcome::FinalList(_)) => "background-only (Jscan + final stage)",
         Some(JscanOutcome::UseTscan) | None => "background-only (Jscan -> Tscan)",
     };
-    finish_background(outcome, &[], &mut events, ctx)?;
-    Ok(report(strategy, events))
+    finish_background(outcome, &[], ctx)?;
+    Ok(strategy)
 }
 
 /// **Fast-first tactic** (Section 7): the foreground borrows RIDs from the
@@ -302,8 +260,7 @@ fn background_only(
 fn fast_first(
     bg: &mut impl Background,
     ctx: &mut Retrieval<'_, '_, '_>,
-) -> Result<TacticReport, StorageError> {
-    let mut events = Vec::new();
+) -> Result<&'static str, StorageError> {
     let mut pending: VecDeque<Rid> = VecDeque::new();
     let mut fgr_buffer: Vec<Rid> = Vec::new();
     let mut fgr_spend = 0.0;
@@ -319,7 +276,7 @@ fn fast_first(
             break;
         };
         if turn == Turn::Background {
-            outcome = bg.advance(ctx.rt, &mut events);
+            outcome = bg.advance(ctx.rt);
             if fgr_alive {
                 bg.lend(&mut pending);
             }
@@ -331,7 +288,6 @@ fn fast_first(
                 // it can.
                 bg.retire_foreground();
                 fgr_alive = false;
-                events.push("foreground idle: borrow stream closed".into());
             }
             continue;
         };
@@ -341,9 +297,8 @@ fn fast_first(
                 if (ctx.residual)(&record) {
                     fgr_buffer.push(rid);
                     if !ctx.sink.deliver(rid, Some(record)) {
-                        events.push("limit reached by foreground".into());
                         ctx.rt.phase("foreground");
-                        return Ok(report("fast-first (foreground satisfied)", events));
+                        return Ok("fast-first (foreground satisfied)");
                     }
                 }
             }
@@ -358,13 +313,6 @@ fn fast_first(
         if overflow || rules.overspent(fgr_spend, bg.guaranteed_best()) {
             let best = bg.guaranteed_best();
             let ratio = ctx.config.spend_limit_ratio;
-            events.push(if overflow {
-                "foreground buffer overflow: switching to background-only".into()
-            } else {
-                format!(
-                    "foreground spend {fgr_spend:.1} hit its competition limit: switching to background-only"
-                )
-            });
             ctx.rt.tracer().emit_with(|| TraceEvent::Switch {
                 from: "fast-first".into(),
                 to: "background-only".into(),
@@ -387,8 +335,8 @@ fn fast_first(
     } else {
         "fast-first (degraded to background-only)"
     };
-    finish_background(outcome, &fgr_buffer, &mut events, ctx)?;
-    Ok(report(strategy, events))
+    finish_background(outcome, &fgr_buffer, ctx)?;
+    Ok(strategy)
 }
 
 /// **Sorted tactic** (Section 7): foreground Fscan on the order-needed
@@ -399,29 +347,24 @@ fn sorted(
     mut fscan: Fscan<'_>,
     bg: &mut impl Background,
     ctx: &mut Retrieval<'_, '_, '_>,
-) -> Result<TacticReport, StorageError> {
-    let mut events = Vec::new();
+) -> Result<&'static str, StorageError> {
     while let Some(turn) = bg.next_turn(true) {
         if turn == Turn::Background {
-            match bg.advance(ctx.rt, &mut events) {
-                None => {}
+            match bg.advance(ctx.rt) {
+                // An unselective background leaves the Fscan unfiltered.
+                None | Some(JscanOutcome::UseTscan) => {}
                 Some(JscanOutcome::Empty) => {
                     let strategy = "sorted (background empty shortcut)";
-                    return Ok(background_empty("fscan", strategy, events, ctx.rt));
+                    return Ok(background_empty("fscan", strategy, ctx.rt));
                 }
                 Some(JscanOutcome::FinalList(list)) => {
-                    let message = format!(
-                        "background filter of {} RIDs installed into Fscan",
-                        list.len()
-                    );
                     ctx.rt.tracer().emit_with(|| TraceEvent::Note {
-                        message: message.clone(),
+                        message: format!(
+                            "background filter of {} RIDs installed into Fscan",
+                            list.len()
+                        ),
                     });
-                    events.push(message);
                     fscan.set_filter(list.filter());
-                }
-                Some(JscanOutcome::UseTscan) => {
-                    events.push("background unselective: Fscan continues unfiltered".into());
                 }
             }
             continue;
@@ -431,15 +374,11 @@ fn sorted(
         match step? {
             StrategyStep::Deliver(rid, record) => {
                 if !ctx.sink.deliver(rid, record) {
-                    events.push("limit reached by ordered foreground".into());
-                    return Ok(report("sorted (Fscan satisfied)", events));
+                    return Ok("sorted (Fscan satisfied)");
                 }
             }
             StrategyStep::Progress => {}
-            StrategyStep::Done => {
-                events.push("ordered Fscan completed; background abandoned".into());
-                break;
-            }
+            StrategyStep::Done => break,
         }
     }
 
@@ -448,7 +387,7 @@ fn sorted(
     } else {
         "sorted (Fscan alone)"
     };
-    Ok(report(strategy, events))
+    Ok(strategy)
 }
 
 /// **Index-only tactic** (Section 7): the best Sscan runs in the
@@ -460,8 +399,7 @@ fn index_only(
     mut sscan: Sscan<'_>,
     bg: &mut impl Background,
     ctx: &mut Retrieval<'_, '_, '_>,
-) -> Result<TacticReport, StorageError> {
-    let mut events = Vec::new();
+) -> Result<&'static str, StorageError> {
     let mut fgr_buffer: Vec<Rid> = Vec::new();
     // One foreground quantum advances a batch of index entries so that the
     // race against Jscan (which also works in entry batches) compares like
@@ -471,33 +409,23 @@ fn index_only(
 
     while let Some(turn) = bg.next_turn(true) {
         if turn == Turn::Background {
-            match bg.advance(ctx.rt, &mut events) {
+            match bg.advance(ctx.rt) {
                 None => {}
                 Some(JscanOutcome::Empty) => {
                     let strategy = "index-only (background empty shortcut)";
-                    return Ok(background_empty("sscan", strategy, events, ctx.rt));
+                    return Ok(background_empty("sscan", strategy, ctx.rt));
                 }
                 Some(JscanOutcome::FinalList(list)) => {
                     // Sure-list victory: Jscan finished first, abandon Sscan.
-                    events.push(format!(
-                        "Jscan won with {} RIDs: Sscan abandoned",
-                        list.len()
-                    ));
                     ctx.rt.tracer().emit_with(|| TraceEvent::Switch {
                         from: "sscan".into(),
                         to: "jscan".into(),
                         reason: format!("Jscan finished a sure list of {} RIDs first", list.len()),
                     });
-                    finish_background(
-                        Some(JscanOutcome::FinalList(list)),
-                        &fgr_buffer,
-                        &mut events,
-                        ctx,
-                    )?;
-                    return Ok(report("index-only (Jscan won)", events));
+                    finish_background(Some(JscanOutcome::FinalList(list)), &fgr_buffer, ctx)?;
+                    return Ok("index-only (Jscan won)");
                 }
                 Some(JscanOutcome::UseTscan) => {
-                    events.push("background unselective: Sscan continues alone".into());
                     ctx.rt.tracer().emit_with(|| TraceEvent::Switch {
                         from: "jscan".into(),
                         to: "sscan".into(),
@@ -514,14 +442,9 @@ fn index_only(
                     StrategyStep::Deliver(rid, record) => {
                         fgr_buffer.push(rid);
                         if !ctx.sink.deliver_from_index(rid, record) {
-                            events.push("limit reached by index-only foreground".into());
                             return Ok(Some("index-only (Sscan satisfied)"));
                         }
                         if fgr_buffer.len() >= ctx.config.buffer_capacity && bg.running() {
-                            events.push(
-                                "foreground buffer overflow: Jscan terminated, Sscan continues (safer)"
-                                    .into(),
-                            );
                             ctx.rt.tracer().emit_with(|| TraceEvent::Switch {
                                 from: "jscan".into(),
                                 to: "sscan".into(),
@@ -533,18 +456,15 @@ fn index_only(
                         }
                     }
                     StrategyStep::Progress => {}
-                    StrategyStep::Done => {
-                        events.push("Sscan completed; background abandoned".into());
-                        return Ok(Some("index-only (Sscan won)"));
-                    }
+                    StrategyStep::Done => return Ok(Some("index-only (Sscan won)")),
                 }
             }
             Ok(None)
         })();
         ctx.rt.phase("sscan");
         if let Some(strategy) = quantum? {
-            return Ok(report(strategy, events));
+            return Ok(strategy);
         }
     }
-    Ok(report("index-only (Sscan completed)", events))
+    Ok("index-only (Sscan completed)")
 }

@@ -19,6 +19,7 @@ use rdb_btree::{BTree, KeyRange};
 use rdb_storage::{HeapTable, Rid, SharedCost, StorageError};
 
 use crate::jscan::JscanConfig;
+use crate::trace::{TraceEvent, Tracer};
 use crate::tscan::Tscan;
 
 /// One OR arm: an index with the range its disjunct implies.
@@ -46,8 +47,8 @@ pub struct UnionScan<'a> {
     table: &'a HeapTable,
     arms: Vec<UnionArm<'a>>,
     config: JscanConfig,
-    events: Vec<String>,
     cost: SharedCost,
+    tracer: Tracer,
 }
 
 impl<'a> UnionScan<'a> {
@@ -63,20 +64,25 @@ impl<'a> UnionScan<'a> {
             table,
             arms,
             config,
-            events: Vec::new(),
             cost,
+            tracer: Tracer::disabled(),
         }
     }
 
-    /// Decision log.
-    pub fn events(&self) -> &[String] {
-        &self.events
+    /// Attaches a tracer; the scan's arm and dedup decisions arrive as
+    /// [`TraceEvent::Note`]s.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    fn note(&self, message: impl FnOnce() -> String) {
+        self.tracer.emit_with(|| TraceEvent::Note { message: message() });
     }
 
     /// Runs the union to an outcome. `Err` when an arm's index storage
     /// dies mid-scan: a union cannot drop an arm without losing rows, so
     /// the fault propagates instead of degrading.
-    pub fn run(&mut self) -> Result<UnionOutcome, StorageError> {
+    pub fn run(&self) -> Result<UnionOutcome, StorageError> {
         let tscan_cost = Tscan::full_cost(self.table);
         // Upfront screen: the union is at least as big as its biggest arm
         // and we will pay every arm's scan; if even the optimistic total
@@ -85,9 +91,11 @@ impl<'a> UnionScan<'a> {
         let projected = crate::jscan::Jscan::fetch_cost(self.table, estimate_sum);
         let rules = self.config.kill_rules();
         if rules.projected_out(projected, tscan_cost) {
-            self.events.push(format!(
-                "union estimate {estimate_sum:.0} RIDs prices out (fetch ~{projected:.0} vs Tscan {tscan_cost:.0})"
-            ));
+            self.note(|| {
+                format!(
+                    "union estimate {estimate_sum:.0} RIDs prices out (fetch ~{projected:.0} vs Tscan {tscan_cost:.0})"
+                )
+            });
             return Ok(UnionOutcome::UseTscan);
         }
 
@@ -117,26 +125,23 @@ impl<'a> UnionScan<'a> {
                         rids.len() as f64 + remaining,
                     );
                     if rules.projected_out(projected, tscan_cost) {
-                        self.events.push(format!(
-                            "union grew past the competition threshold after {} RIDs: Tscan",
-                            rids.len()
-                        ));
+                        self.note(|| {
+                            format!(
+                                "union grew past the competition threshold after {} RIDs: Tscan",
+                                rids.len()
+                            )
+                        });
                         return Ok(UnionOutcome::UseTscan);
                     }
                 }
             }
-            self.events
-                .push(format!("arm {} delivered {collected} RIDs", arm.tree.name()));
+            self.note(|| format!("arm {} delivered {collected} RIDs", arm.tree.name()));
         }
         let before = rids.len();
         rids.sort_unstable();
         rids.dedup();
         self.cost.charge_rid_ops(before as u64);
-        self.events.push(format!(
-            "union of {} RIDs ({} after dedup)",
-            before,
-            rids.len()
-        ));
+        self.note(|| format!("union of {before} RIDs ({} after dedup)", rids.len()));
         Ok(UnionOutcome::Rids(rids))
     }
 }
@@ -181,14 +186,14 @@ mod tests {
         let (table, ia, ib) = setup(3000, 100, 150);
         // a == 1 (30 rids) OR b == 2 (20 rids); overlap: i ≡ 1 (mod 100) &
         // i ≡ 2 (mod 150) → impossible (1 ≢ 2 mod 50) → 50 total.
-        let mut u = UnionScan::new(
+        let u = UnionScan::new(
             &table,
             vec![arm(&ia, KeyRange::eq(1)), arm(&ib, KeyRange::eq(2))],
             JscanConfig::default(),
             table.pool().cost().clone(),
         );
         match u.run().unwrap() {
-            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 50, "{:?}", u.events()),
+            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 50),
             other => panic!("{other:?}"),
         }
     }
@@ -197,7 +202,7 @@ mod tests {
     fn overlapping_arms_dedup() {
         let (table, ia, ib) = setup(3000, 100, 100);
         // a == 1 OR b == 1 with ma == mb: identical 30-rid sets.
-        let mut u = UnionScan::new(
+        let u = UnionScan::new(
             &table,
             vec![arm(&ia, KeyRange::eq(1)), arm(&ib, KeyRange::eq(1))],
             JscanConfig::default(),
@@ -218,7 +223,7 @@ mod tests {
     fn unproductive_union_goes_to_tscan() {
         let (table, ia, ib) = setup(3000, 3, 4);
         // a <= 1 (2/3 of table) OR b == 0 (1/4): sum prices out.
-        let mut u = UnionScan::new(
+        let u = UnionScan::new(
             &table,
             vec![
                 arm(&ia, KeyRange::at_most(1)),
@@ -233,7 +238,7 @@ mod tests {
     #[test]
     fn empty_arms_cost_nothing() {
         let (table, ia, ib) = setup(10_000, 100, 100);
-        let mut u = UnionScan::new(
+        let u = UnionScan::new(
             &table,
             vec![
                 arm(&ia, KeyRange::eq(3)),
@@ -243,7 +248,7 @@ mod tests {
             table.pool().cost().clone(),
         );
         match u.run().unwrap() {
-            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 100, "{:?}", u.events()),
+            UnionOutcome::Rids(rids) => assert_eq!(rids.len(), 100),
             other => panic!("{other:?}"),
         }
     }

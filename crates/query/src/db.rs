@@ -18,7 +18,7 @@ use rdb_storage::{
 use crate::catalog::{Catalog, IndexDef, TableDef};
 use crate::error::QueryError;
 use crate::explain::ExplainAnalyze;
-use crate::expr::{CompiledPred, Expr};
+use crate::expr::{CompiledPred, Expr, PredArgs};
 use crate::options::QueryOptions;
 use crate::parser::{parse_query, QuerySpec};
 use crate::plan::effective_goal;
@@ -226,6 +226,83 @@ fn resolve_query(entry: &TableEntry, spec: &QuerySpec) -> Result<ResolvedQuery, 
     })
 }
 
+/// One run's retrieval request for a resolved single-table query.
+struct PlannedRetrieval<'e> {
+    request: RetrievalRequest<'e>,
+    /// Metadata of each offered index, parallel to `request.indexes` (the
+    /// optimizer's sscan position indexes the offered list).
+    choice_meta: Vec<&'e IndexMeta>,
+    /// ORDER BY that no offered index provides: rows sort after retrieval.
+    needs_post_sort: bool,
+}
+
+/// Builds the retrieval request one run of `resolved` makes under the
+/// bound `args`: the useful index choices (constrained, order-providing
+/// or self-sufficient), the order requirement, the Section 4 goal and the
+/// retrieval limit. [`Db::execute_resolved`] runs this request and
+/// [`Db::explain`] reports the tactic chosen for it, so the two agree.
+fn plan_retrieval<'e>(
+    entry: &'e TableEntry,
+    spec: &QuerySpec,
+    resolved: &'e ResolvedQuery,
+    args: &PredArgs,
+    opts: &QueryOptions,
+    cost: &SharedCost,
+) -> PlannedRetrieval<'e> {
+    // Only the key ranges and the predicates' argument values depend on
+    // this run's bindings.
+    let mut indexes: Vec<IndexChoice<'_>> = Vec::new();
+    let mut choice_meta: Vec<&IndexMeta> = Vec::new();
+    for (tree, meta) in entry.indexes.iter().zip(&resolved.index_meta) {
+        let range = resolved.pred.range_for_composite(args, &meta.key_cols);
+        let self_sufficient = meta.key_pred.as_ref().map(|kp| kp.key_pred(args));
+        let constrained = range != rdb_btree::KeyRange::all();
+        if !(constrained || meta.provides_order || self_sufficient.is_some()) {
+            continue; // useless index for this query
+        }
+        let mut choice = IndexChoice::fetch_needed(tree, range);
+        if meta.provides_order {
+            choice = choice.with_order();
+            if spec.order_desc {
+                choice = choice.with_descending();
+            }
+        }
+        if let Some(kp) = self_sufficient {
+            choice = choice.with_self_sufficient(kp);
+        }
+        indexes.push(choice);
+        choice_meta.push(meta);
+    }
+
+    // ASC is served by forward index scans, DESC by reverse scans.
+    let order_possible = indexes.iter().any(|c| c.provides_order);
+    let needs_post_sort = spec.order_by.is_some() && !order_possible;
+    let limit = opts.limit().or(spec.limit);
+    // Section 4 goal derivation: an aggregate (COUNT) controls the
+    // retrieval and sets total-time; an explicit request (SQL or options
+    // override) wins next; a LIMIT sets fast-first; otherwise total-time.
+    let goal = effective_goal(spec.count_star, opts.goal().or(spec.goal), limit);
+    PlannedRetrieval {
+        request: RetrievalRequest {
+            table: &entry.heap,
+            indexes,
+            residual: resolved.pred.record_pred(args),
+            goal,
+            order_required: spec.order_by.is_some() && order_possible,
+            // With a post-sort or count pending, every row must be
+            // retrieved before the limit applies.
+            limit: if needs_post_sort || spec.count_star {
+                None
+            } else {
+                limit
+            },
+            cost: cost.clone(),
+        },
+        choice_meta,
+        needs_post_sort,
+    }
+}
+
 /// Per-query buffer-pool activity: the session meter's counter delta
 /// across one run. Because each session charges its own [`SharedCost`],
 /// these stay per-query-accurate even when many sessions share the pool.
@@ -261,11 +338,12 @@ pub struct QueryResult {
     pub rows: Vec<Vec<Value>>,
     /// Simulated cost units spent (estimation + retrieval).
     pub cost: f64,
-    /// The tactic/strategy that ran.
+    /// The tactic/strategy that ran. The decisions behind it (candidate
+    /// estimates, discards, switches, shortcuts) are recorded only as
+    /// typed [`rdb_core::TraceEvent`]s: run [`Db::explain_analyze`] for
+    /// the rendered timeline, or attach a sink with
+    /// [`QueryOptions::with_trace`].
     pub strategy: String,
-    /// Dynamic-decision log (human-oriented; for typed events attach a
-    /// [`rdb_core::TraceSink`] via [`QueryOptions::with_trace`]).
-    pub events: Vec<String>,
     /// Buffer-pool activity of this run.
     pub metrics: QueryMetrics,
 }
@@ -696,8 +774,7 @@ impl Db {
     /// `opts`' parameters), maintaining all indexes. Returns the number of
     /// rows deleted.
     ///
-    /// Victims are located by a sequential scan (maintenance favours
-    /// simplicity over retrieval optimization here); the heap delete and
+    /// Victims are located by a sequential scan; the heap delete and
     /// per-index entry removals then run as load-time operations.
     pub fn delete_where(
         &mut self,
@@ -705,24 +782,7 @@ impl Db {
         predicate: &Expr,
         opts: &QueryOptions,
     ) -> Result<usize, QueryError> {
-        let bound = predicate.bind(opts.params())?;
-        let victims: Vec<rdb_storage::Rid> = {
-            let entry = self.table(table)?;
-            let schema = entry.heap.schema();
-            check_expr_columns(table, schema, &bound)?;
-            let request = RetrievalRequest {
-                table: &entry.heap,
-                indexes: Vec::new(), // deletes scan; index choice matters less than correctness
-                residual: bound.record_pred(schema),
-                goal: OptimizeGoal::TotalTime,
-                order_required: false,
-                limit: None,
-                cost: self.cost.clone(),
-            };
-            self.optimizer
-                .run_traced(&request, None, &opts.tracer())?
-                .rids()
-        };
+        let victims = self.matching_rids(table, predicate, opts)?;
         // Maintain heap and indexes.
         let cost = self.cost.clone();
         let entry = self.table_mut(table)?;
@@ -739,6 +799,35 @@ impl Db {
             entry.heap.delete(rid)?;
         }
         Ok(victims.len())
+    }
+
+    /// The RIDs of `table`'s rows matching `predicate` under `opts`'
+    /// bindings, located by a sequential scan (maintenance favours
+    /// simplicity over retrieval optimization). The predicate goes
+    /// through the same validate-compile-bind steps as a query.
+    fn matching_rids(
+        &self,
+        table: &str,
+        predicate: &Expr,
+        opts: &QueryOptions,
+    ) -> Result<Vec<rdb_storage::Rid>, QueryError> {
+        let entry = self.table(table)?;
+        let schema = entry.heap.schema();
+        check_expr_columns(table, schema, predicate)?;
+        let pred = Arc::new(CompiledPred::compile(predicate, schema));
+        let request = RetrievalRequest {
+            table: &entry.heap,
+            indexes: Vec::new(),
+            residual: pred.record_pred(&pred.bind_args(opts.params())?),
+            goal: OptimizeGoal::TotalTime,
+            order_required: false,
+            limit: None,
+            cost: self.cost.clone(),
+        };
+        Ok(self
+            .optimizer
+            .run_traced(&request, None, &opts.tracer())?
+            .rids())
     }
 
     /// Updates column `set_column` to `set_value` on every row matching
@@ -758,26 +847,11 @@ impl Db {
                 return Err(unknown_column(table, set_column));
             }
         }
-        let bound = predicate.bind(opts.params())?;
         let victims: Vec<(rdb_storage::Rid, Record)> = {
-            let entry = self.tables.get(table).expect("checked above");
-            let schema = entry.heap.schema();
-            check_expr_columns(table, schema, &bound)?;
-            let request = RetrievalRequest {
-                table: &entry.heap,
-                indexes: Vec::new(),
-                residual: bound.record_pred(schema),
-                goal: OptimizeGoal::TotalTime,
-                order_required: false,
-                limit: None,
-                cost: self.cost.clone(),
-            };
-            let rids = self
-                .optimizer
-                .run_traced(&request, None, &opts.tracer())?
-                .rids();
+            let rids = self.matching_rids(table, predicate, opts)?;
+            let heap = &self.tables.get(table).expect("checked above").heap;
             rids.into_iter()
-                .map(|rid| entry.heap.fetch(rid, &self.cost).map(|r| (rid, r)))
+                .map(|rid| heap.fetch(rid, &self.cost).map(|r| (rid, r)))
                 .collect::<Result<_, _>>()?
         };
         let count = victims.len();
@@ -830,35 +904,12 @@ impl Db {
                 crate::join::resolve_join(&spec.table, entry, right_name, right, &spec)?;
             return crate::join::explain_join(self, entry, right, &resolved, opts);
         }
-        let schema = entry.heap.schema();
-        let bound = spec.predicate.bind(opts.params())?;
-        check_expr_columns(&spec.table, schema, &bound)?;
-        if let Expr::Or(_) = &bound {
+        let resolved = resolve_query(entry, &spec)?;
+        let args = resolved.pred.bind_args(opts.params())?;
+        if let Expr::Or(_) = &spec.predicate {
             return Ok("UnionScan (OR-connected restriction) or Tscan".to_string());
         }
-        let mut indexes: Vec<IndexChoice<'_>> = Vec::new();
-        for tree in &entry.indexes {
-            let names: Vec<String> = tree
-                .key_columns()
-                .iter()
-                .map(|&c| schema.column(c).expect("valid column").name.clone())
-                .collect();
-            let range = bound.range_for_composite(&names);
-            if range != rdb_btree::KeyRange::all() {
-                indexes.push(IndexChoice::fetch_needed(tree, range));
-            }
-        }
-        let limit = opts.limit().or(spec.limit);
-        let goal = effective_goal(spec.count_star, opts.goal().or(spec.goal), limit);
-        let request = RetrievalRequest {
-            table: &entry.heap,
-            indexes,
-            residual: bound.record_pred(schema),
-            goal,
-            order_required: false,
-            limit,
-            cost: self.cost.clone(),
-        };
+        let request = plan_retrieval(entry, &spec, &resolved, &args, opts, &self.cost).request;
         let (choice, plan) = self.optimizer.choose(&request);
         let detail = match &plan.shortcut {
             Some(ShortcutKind::EmptyResult { index }) => {
@@ -1024,59 +1075,11 @@ impl Db {
             }
         }
 
-        // Build index choices from the resolved skeleton; only the key
-        // ranges and the predicates' argument values depend on this run's
-        // bindings.
-        let mut indexes: Vec<IndexChoice<'_>> = Vec::new();
-        // Metadata of each *offered* index, parallel to `indexes` (the
-        // optimizer's sscan position indexes the offered list).
-        let mut choice_meta: Vec<&IndexMeta> = Vec::new();
-        for (tree, meta) in entry.indexes.iter().zip(&resolved.index_meta) {
-            let range = resolved.pred.range_for_composite(&args, &meta.key_cols);
-            let self_sufficient = meta.key_pred.as_ref().map(|kp| kp.key_pred(&args));
-            let constrained = range != rdb_btree::KeyRange::all();
-            if !(constrained || meta.provides_order || self_sufficient.is_some()) {
-                continue; // useless index for this query
-            }
-            let mut choice = IndexChoice::fetch_needed(tree, range);
-            if meta.provides_order {
-                choice = choice.with_order();
-                if spec.order_desc {
-                    choice = choice.with_descending();
-                }
-            }
-            if let Some(kp) = self_sufficient {
-                choice = choice.with_self_sufficient(kp);
-            }
-            indexes.push(choice);
-            choice_meta.push(meta);
-        }
-
-        // ASC is served by forward index scans, DESC by reverse scans.
-        let order_possible = indexes.iter().any(|c| c.provides_order);
-        let order_required = spec.order_by.is_some() && order_possible;
-        let needs_post_sort = spec.order_by.is_some() && !order_possible;
-        // Section 4 goal derivation: an aggregate (COUNT) controls the
-        // retrieval and sets total-time; an explicit request (SQL or
-        // options override) wins next; a LIMIT sets fast-first; otherwise
-        // total-time.
-        let goal = effective_goal(spec.count_star, opts.goal().or(spec.goal), limit);
-
-        let request = RetrievalRequest {
-            table: &entry.heap,
-            indexes,
-            residual: resolved.pred.record_pred(&args),
-            goal,
-            order_required,
-            // With a post-sort or count pending, every row must be
-            // retrieved before the limit applies.
-            limit: if needs_post_sort || spec.count_star {
-                None
-            } else {
-                limit
-            },
-            cost: cost.clone(),
-        };
+        let PlannedRetrieval {
+            request,
+            choice_meta,
+            needs_post_sort,
+        } = plan_retrieval(entry, spec, resolved, &args, opts, cost);
         let hinted = self.optimizer.run_hinted(&request, None, &tracer, hint)?;
         let (result, fresh_hint, disposition) = (hinted.result, hinted.hint, hinted.disposition);
 
@@ -1087,7 +1090,6 @@ impl Db {
                     rows: vec![vec![Value::Int(result.deliveries.len() as i64)]],
                     cost: result.cost,
                     strategy: result.strategy,
-                    events: result.events,
                     metrics: QueryMetrics::default(),
                 },
                 hint: Some(fresh_hint),
@@ -1149,7 +1151,6 @@ impl Db {
                 rows,
                 cost: result.cost,
                 strategy: result.strategy,
-                events: result.events,
                 metrics: QueryMetrics::default(),
             },
             hint: Some(fresh_hint),
@@ -1160,9 +1161,10 @@ impl Db {
     /// Attempts the union machinery for an OR-connected restriction: when
     /// every top-level disjunct binds to an index range, runs the union
     /// scan and returns the finished result; `None` sends the caller to
-    /// the conjunctive machinery. Per-disjunct range derivation works
-    /// over the named tree, so OR statements (and only they) still pay
-    /// the legacy [`Expr::bind`] clone.
+    /// the conjunctive machinery. Each arm's range is derived from its
+    /// disjunct of the bound [`Expr`] tree, so OR statements pay one
+    /// [`Expr::bind`] clone (its only use outside tests); the union's
+    /// residual is the compiled predicate, as everywhere else.
     fn try_union(
         &self,
         entry: &TableEntry,
@@ -1176,7 +1178,7 @@ impl Db {
         let Expr::Or(disjuncts) = &bound else {
             return Ok(None);
         };
-        let schema = entry.heap.schema();
+        let args = resolved.pred.bind_args(opts.params())?;
         let tracer = opts.tracer();
         let limit = opts.limit().or(spec.limit);
         let out_columns = &resolved.out_columns;
@@ -1211,7 +1213,7 @@ impl Db {
         let result = self.optimizer.run_union_traced(
             &entry.heap,
             arms,
-            &bound.record_pred(schema),
+            &resolved.pred.record_pred(&args),
             if needs_post_sort || spec.count_star {
                 None
             } else {
@@ -1226,7 +1228,6 @@ impl Db {
                     rows: vec![vec![Value::Int(result.deliveries.len() as i64)]],
                     cost: result.cost,
                     strategy: result.strategy,
-                    events: result.events,
                     metrics: QueryMetrics::default(),
                 },
                 hint: None,
@@ -1266,7 +1267,6 @@ impl Db {
                 rows,
                 cost: result.cost,
                 strategy: result.strategy,
-                events: result.events,
                 metrics: QueryMetrics::default(),
             },
             hint: None,
@@ -1953,6 +1953,41 @@ mod tests {
             )
             .unwrap();
         assert!(or.contains("Union"), "{or}");
+    }
+
+    #[test]
+    fn explain_agrees_with_the_executed_tactic() {
+        let db = db_with_families(3000);
+        let by_age = "select * from FAMILIES where AGE >= :A1";
+        let cases = [
+            (
+                "select * from FAMILIES where SIZE = 2 order by AGE limit to 5 rows",
+                no_params(),
+            ),
+            ("select AGE, ID from FAMILIES where SIZE = 2 order by AGE", no_params()),
+            ("select AGE from FAMILIES where AGE >= 30", no_params()),
+            (by_age, params(&[("A1", 500)])),
+            (by_age, params(&[("A1", 99)])),
+            (by_age, params(&[("A1", 0)])),
+        ];
+        for (sql, opts) in cases {
+            let explained = db.explain(sql, &opts).unwrap();
+            let ran = db
+                .explain_analyze(sql, &opts)
+                .unwrap()
+                .events
+                .into_iter()
+                .find_map(|e| match e {
+                    TraceEvent::TacticChosen { tactic, .. } => Some(tactic),
+                    _ => None,
+                })
+                .expect("tactic-chosen event");
+            assert_eq!(
+                explained.split(' ').next(),
+                Some(ran.as_str()),
+                "{sql}: EXPLAIN said {explained:?}"
+            );
+        }
     }
 
     #[test]

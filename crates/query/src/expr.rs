@@ -5,6 +5,13 @@
 //! precedes optimizer invocation, every run re-derives index ranges from
 //! the *actual* values — the prerequisite for the paper's per-run dynamic
 //! strategy choice (`AGE >= :A1` resolving differently for 0 and 200).
+//!
+//! Execution evaluates through [`CompiledPred`]. The tree-walking
+//! evaluators on [`Expr`] (`eval`, `record_pred`, `key_pred`,
+//! `range_for_composite`) are built for tests only, as the oracle the
+//! compiled form is checked against; outside tests a bound tree serves
+//! only to derive the per-arm ranges of an OR-connected restriction
+//! ([`Expr::range_for`]).
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -218,6 +225,7 @@ impl Expr {
     }
 
     /// Evaluates a **bound** expression against a record.
+    #[cfg(test)]
     ///
     /// # Panics
     /// If the expression still contains host variables or references a
@@ -310,6 +318,7 @@ impl Expr {
     /// range constraint on the next column closes it. For example, with an
     /// index on `(region, age)`, `region = 3 AND age >= 30` yields the
     /// range `[(3, 30) .. (3, +inf))` — i.e. lo `(3, 30)`, hi prefix `(3)`.
+    #[cfg(test)]
     pub fn range_for_composite(&self, columns: &[String]) -> KeyRange {
         let mut prefix: Vec<Value> = Vec::new();
         let mut range = KeyRange::all();
@@ -361,6 +370,7 @@ impl Expr {
     }
 
     /// Compiles a bound expression into a record predicate for `schema`.
+    #[cfg(test)]
     pub fn record_pred(&self, schema: &Schema) -> RecordPred {
         let expr = self.clone();
         let schema = schema.clone();
@@ -370,6 +380,7 @@ impl Expr {
     /// Compiles a bound expression into an index-key predicate, given the
     /// index's key columns as `(name, key position)` pairs. Returns `None`
     /// unless every referenced column is covered by the key.
+    #[cfg(test)]
     pub fn key_pred(&self, key_columns: &[(String, usize)]) -> Option<KeyPred> {
         let needed = self.columns();
         if !needed
@@ -388,6 +399,7 @@ impl Expr {
     }
 }
 
+#[cfg(test)]
 fn eval_on_named_values(expr: &Expr, names: &[String], values: &[Value]) -> bool {
     match expr {
         Expr::True => true,
@@ -554,7 +566,7 @@ impl CompiledPred {
         range
     }
 
-    /// Positional mirror of [`Expr::range_for_composite`]: equality
+    /// Positional mirror of `Expr::range_for_composite`: equality
     /// constraints pin a leading prefix of `key_cols` (record positions,
     /// in key order), then one range constraint closes the bound.
     pub fn range_for_composite(&self, args: &[Value], key_cols: &[usize]) -> KeyRange {

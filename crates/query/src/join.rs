@@ -402,27 +402,12 @@ pub(crate) fn execute_join(
         run_join(req, &JoinConfig::default(), &tracer)
     })??;
 
-    let events: Vec<String> = result
-        .candidates
-        .iter()
-        .map(|c| {
-            format!(
-                "join candidate {}: estimate {:.1}, spent {:.1}, {:?}",
-                c.method.label(),
-                c.estimate,
-                c.spent,
-                c.outcome
-            )
-        })
-        .collect();
-
     if spec.count_star {
         return Ok(QueryResult {
             columns: vec!["COUNT".to_string()],
             rows: vec![vec![Value::Int(result.pairs.len() as i64)]],
             cost: result.cost,
             strategy: result.strategy,
-            events,
             metrics: QueryMetrics::default(),
         });
     }
@@ -460,7 +445,6 @@ pub(crate) fn execute_join(
         rows,
         cost: result.cost,
         strategy: result.strategy,
-        events,
         metrics: QueryMetrics::default(),
     })
 }
@@ -533,17 +517,23 @@ mod tests {
     #[test]
     fn equi_join_matches_hand_computed_pairs() {
         let db = two_table_db(50, 400);
-        let r = db
-            .query(
+        let ea = db
+            .explain_analyze(
                 "select PARENT.ID, CHILD.X from PARENT, CHILD where PARENT.ID = CHILD.FK",
                 &no_params(),
             )
             .unwrap();
+        let r = &ea.result;
         assert_eq!(r.columns, vec!["PARENT.ID", "CHILD.X"]);
         // Every child matches exactly one parent.
         assert_eq!(r.rows.len(), 400);
         assert!(r.strategy.starts_with("join: "), "strategy {}", r.strategy);
-        assert!(!r.events.is_empty(), "candidate log should be populated");
+        assert!(
+            ea.events
+                .iter()
+                .any(|e| matches!(e, rdb_core::TraceEvent::JoinCandidate { .. })),
+            "the trace should list the join candidates"
+        );
         for row in &r.rows {
             let (id, x) = (row[0].as_i64().unwrap(), row[1].as_i64().unwrap());
             assert_eq!(id, x % 50, "pair ({id}, {x}) violates FK correlation");

@@ -231,18 +231,20 @@ fn clean_differential(
             JscanConfig::default(),
             scenario.pool.cost().clone(),
         );
+        let trace = TraceBuffer::shared(16_384);
+        jscan.set_tracer(Tracer::new(trace.clone()));
         let expected_indexed = oracle::expected_for_conjuncts(scenario, &indexed);
         let outcome = jscan.run();
         // Conjuncts whose scans ran to completion: only those are folded
         // into the final list — a discarded index's restriction legally
         // stays behind for the final-stage residual.
-        let completed: Vec<_> = jscan
-            .events()
+        let completed: Vec<_> = trace
+            .take()
             .iter()
             .filter_map(|e| match e {
-                rdb_core::JscanEvent::ScanCompleted { name, .. } => indexed
+                TraceEvent::ScanCompleted { index, .. } => indexed
                     .iter()
-                    .find(|c| *name == format!("IDX_c{}", c.col))
+                    .find(|c| *index == format!("IDX_c{}", c.col))
                     .copied(),
                 _ => None,
             })
@@ -596,7 +598,7 @@ fn fault_campaign(
         ^ rate.to_bits();
     arm(scenario, FaultPolicy::random(fault_seed, rate));
     scenario.cold();
-    let outcome = DynamicOptimizer::default().run(&request);
+    let (outcome, absorbed) = run_counting_absorbed_faults(&request);
     disarm(scenario);
     report.fault_runs += 1;
     match outcome {
@@ -605,11 +607,7 @@ fn fault_campaign(
                 .map_err(|e| e.ctx(format!("fault rate {rate}: Ok run returned damaged rows")))?;
             report.fault_ok += 1;
             report.checks += 1;
-            if result
-                .events
-                .iter()
-                .any(|e| e.contains("StorageFault"))
-            {
+            if absorbed {
                 report.degraded_ok += 1;
             }
         }
@@ -633,6 +631,22 @@ fn fault_campaign(
         .map_err(|e| e.ctx(format!("fault rate {rate}: state damaged by faulted run")))?;
     report.checks += 1;
     Ok(())
+}
+
+/// Runs `request` under the default dynamic optimizer, reporting whether
+/// the run absorbed a storage fault by dropping an index scan (a
+/// [`TraceEvent::FaultAbsorbed`] in its trace).
+fn run_counting_absorbed_faults(
+    request: &rdb_core::RetrievalRequest<'_>,
+) -> (Result<RetrievalResult, StorageError>, bool) {
+    let trace = TraceBuffer::shared(16_384);
+    let tracer = Tracer::new(trace.clone());
+    let outcome = DynamicOptimizer::default().run_traced(request, None, &tracer);
+    let absorbed = trace
+        .take()
+        .iter()
+        .any(|e| matches!(e, TraceEvent::FaultAbsorbed { .. }));
+    (outcome, absorbed)
 }
 
 /// Kills one index's storage a few reads in and re-runs the dynamic
@@ -661,7 +675,7 @@ fn index_death(
         FaultPolicy::fail_from_nth(3).scoped_to(dead_file),
     );
     scenario.cold();
-    let outcome = DynamicOptimizer::default().run(&request);
+    let (outcome, absorbed) = run_counting_absorbed_faults(&request);
     disarm(scenario);
     report.fault_runs += 1;
     match outcome {
@@ -670,7 +684,7 @@ fn index_death(
                 .map_err(|e| e.ctx("index death: Ok run returned damaged rows"))?;
             report.fault_ok += 1;
             report.checks += 1;
-            if result.events.iter().any(|e| e.contains("StorageFault")) {
+            if absorbed {
                 report.degraded_ok += 1;
             }
         }
